@@ -84,6 +84,13 @@ class CompressionPolicy:
             pieces.append(segment[split:])
         return b"".join(pieces)
 
+    def segment_count(self, size: int) -> int:
+        """Independent DEFLATE streams :meth:`compress` makes of a
+        ``size``-byte payload (0 when this level does not compress)."""
+        if self.level is CompressionLevel.NONE:
+            return 0
+        return max(1, -(-size // _PARAMS[self.level].segment))
+
     def wire_size(self, content: Content) -> int:
         """Bytes that cross the wire for ``content`` under this policy.
 

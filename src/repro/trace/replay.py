@@ -20,7 +20,8 @@ to :func:`replay_trace` at any worker count.  Four properties make that
 possible (see DESIGN.md, "Parallel replay & determinism contract"):
 
 * every record's modification RNG is its own stream keyed by
-  ``(seed, profile, global record index)`` — no draw-order coupling
+  ``(seed, profile, global record index)`` — one generator per shard,
+  reseeded on each modified record — so there is no draw-order coupling
   between records;
 * BDS batch eligibility and ``SAME_USER`` dedup only couple records of
   one user, and sharding is by user;
@@ -44,6 +45,8 @@ import random
 import threading
 import traceback
 from array import array
+from math import exp, log
+from random import NV_MAGICCONST
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -176,14 +179,6 @@ def _fixed_overhead(profile: ServiceProfile) -> int:
             + overhead.notify_down)
 
 
-def _wire_payload(profile: ServiceProfile, size: int, compressed: int) -> int:
-    """Upload bytes for content with a known reference-compressed size."""
-    saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
-    achievable = max(size - compressed, 0)
-    wire = size - int(achievable * saving_fraction)
-    return wire + int(profile.overhead.per_byte_factor * wire)
-
-
 def _in_creation_batch(record: FileRecord,
                        batch_windows: Dict[Tuple[str, str], List[float]],
                        window: float = BDS_BATCH_WINDOW) -> bool:
@@ -194,20 +189,6 @@ def _in_creation_batch(record: FileRecord,
     after = (index + 1 < len(times)
              and times[index + 1] - record.created_at <= window)
     return before or after
-
-
-def _mod_fractions(seed: int, profile_name: str, index: int,
-                   count: int) -> List[float]:
-    """Modification fractions for one record: an independent RNG stream.
-
-    Keyed by (seed, profile, global record index) so any shard can
-    reproduce exactly the draws the sequential replay makes for this
-    record — the determinism contract that makes parallel == sequential.
-    """
-    rng = random.Random(f"replay:{seed}:{profile_name}:{index}")
-    return [min(1.0, rng.lognormvariate(_MOD_FRACTION_LOG_MU,
-                                        _MOD_FRACTION_LOG_SIGMA))
-            for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +316,32 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     the local dedup state *is* the global state), shards call it with
     per-user partitions.  ``collect_candidates`` turns on the phase-1 side
     of the CROSS_USER two-phase protocol.
+
+    One pass per record: every per-profile value is read once per shard,
+    the full-file wire once per record (it is the same for the creation
+    upload and for every non-delta modification), and each record's
+    counters are summed in locals and posted to the per-user dicts once —
+    on the record where the sequential order first inserts the user, so
+    the dicts keep that insertion order.
     """
     report = ReplayReport(service=profile.service,
                           access=profile.access.value)
     fixed = _fixed_overhead(profile)
+    saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
+    per_byte = profile.overhead.per_byte_factor
+    delta_block = profile.delta_block     # None unless the profile has IDS
+    profile_name = profile.name
+
     bds = profile.bds
+    bds_enabled = bds.mode is not BdsMode.NONE
+    batched = bds.per_file_bytes if bds.mode is BdsMode.FULL \
+        else max(bds.per_file_bytes, fixed // 8)
+    bds_saving = max(fixed - batched, 0)
+
+    dedup = profile.dedup
+    dedup_enabled = dedup.enabled
+    full_file_dedup = dedup.granularity is DedupGranularity.FULL_FILE
+    cross_user = dedup.scope is DedupScope.CROSS_USER
 
     # Precompute creation-time neighbourhoods for BDS eligibility.  All of
     # a user's records live in this shard, so the neighbourhoods equal the
@@ -352,101 +354,138 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     for times in small_times.values():
         times.sort()
 
-    dedup = profile.dedup
     seen_units: Set = set()
     candidates = _ShardCandidates() if collect_candidates else None
+    per_user_traffic = report.per_user_traffic
+    per_user_modification_traffic = report.per_user_modification_traffic
+    per_user_modification_update = report.per_user_modification_update
+
+    # One generator per shard, reseeded with each modified record's own
+    # key before it draws: the draws equal a fresh ``random.Random(key)``
+    # per record.
+    rng = random.Random(seed)
+    reseed = rng.seed
+    uniform = rng.random
+
+    modification_uploads = 0
+    data_update_bytes = 0
+    traffic_bytes = 0
+    overhead_bytes = 0
+    saved_by_compression = 0
+    saved_by_dedup = 0
+    saved_by_bds = 0
+    saved_by_ids = 0
 
     for index, record in shard:
-        report.file_count += 1
+        size = record.size
+        compressed = record.compressed_size
+        user = record.user
         # ---- creation upload ------------------------------------------------
-        report.data_update_bytes += record.size
-        raw_wire = record.size + int(profile.overhead.per_byte_factor * record.size)
-        wire = _wire_payload(profile, record.size, record.compressed_size)
-        report.saved_by_compression += max(raw_wire - wire, 0)
+        raw_wire = size + int(per_byte * size)
+        full_wire = size - int(max(size - compressed, 0) * saving_fraction)
+        full_wire += int(per_byte * full_wire)
+        saved_by_compression += max(raw_wire - full_wire, 0)
+        wire = full_wire
 
-        if dedup.enabled:
+        if dedup_enabled:
             shipped = 0
             fresh_units: List[Tuple[bytes, int]] = []
-            if dedup.granularity is DedupGranularity.FULL_FILE:
-                keys = [(record.full_file_key(), record.size)]
+            if full_file_dedup:
+                keys = [(record.full_file_key(), size)]
             else:
                 keys = list(record.block_keys(dedup.block_size))
             total_len = sum(length for _, length in keys)
             for key, length in keys:
                 digest = _unit_digest(key)
-                scope_key = digest if dedup.scope is DedupScope.CROSS_USER \
-                    else (record.user, digest)
+                scope_key = digest if cross_user else (user, digest)
                 if scope_key in seen_units:
                     continue
                 seen_units.add(scope_key)
                 shipped += length
                 if collect_candidates:
                     fresh_units.append((digest, length))
-            if total_len == 0:
-                # Explicit empty-units branch (formerly a silent `or 1`
-                # guard): a size-0 file — or a record with no content
-                # units at all — has no bytes to negotiate, so dedup
-                # neither ships nor saves anything and the wire passes
-                # through unchanged (it is 0 for size-0 records).
-                deduped_wire = wire
-            else:
+            if fresh_units:
+                # Zero-length units (a size-0 file's segments) are
+                # candidates too: they claim their identities in
+                # ``seen_units`` just as sequential replay does, and
+                # settle nothing themselves (shipped == kept == 0).
+                candidates.add(index, user, wire, total_len, fresh_units)
+            if total_len > 0:
                 deduped_wire = wire * shipped // total_len
-            report.saved_by_dedup += wire - deduped_wire
-            if collect_candidates and fresh_units and total_len > 0:
-                candidates.add(index, record.user, wire, total_len,
-                               fresh_units)
-            wire = deduped_wire
+                saved_by_dedup += wire - deduped_wire
+                wire = deduped_wire
+            # else: a size-0 file — or a record with no content units at
+            # all — has no bytes to negotiate, so dedup neither ships nor
+            # saves anything and the wire passes through unchanged.
 
         overhead = fixed
-        if (record.size < SMALL_FILE_THRESHOLD and bds.mode is not BdsMode.NONE
+        if (bds_enabled and size < SMALL_FILE_THRESHOLD
                 and _in_creation_batch(record, small_times)):
-            batched = bds.per_file_bytes if bds.mode is BdsMode.FULL \
-                else max(bds.per_file_bytes, fixed // 8)
-            report.saved_by_bds += max(fixed - batched, 0)
+            saved_by_bds += bds_saving
             overhead = batched
-        report.traffic_bytes += wire + overhead
-        report.overhead_bytes += overhead
-        report.upload_events += 1
-        report.per_user_traffic[record.user] = \
-            report.per_user_traffic.get(record.user, 0) + wire + overhead
+        user_traffic = wire + overhead
+        overhead_bytes += overhead
+        data_update_bytes += size
 
         # ---- modifications ---------------------------------------------------
-        if record.modify_count:
-            fractions = _mod_fractions(seed, profile.name, index,
-                                       record.modify_count)
-        else:
-            fractions = []
-        for fraction in fractions:
-            altered = max(1, int(record.size * fraction))
-            report.data_update_bytes += altered
-            full_wire = _wire_payload(profile, record.size,
-                                      record.compressed_size)
-            if profile.uses_ids:
-                # Delta ships the altered region rounded up to whole blocks.
-                blocks = -(-altered // profile.delta_block) + 1
-                delta_wire = min(blocks * profile.delta_block, record.size)
-                # size == 0 forces delta_wire to 0 above, so the ratio is
-                # never consumed on that branch; no max(size, 1) masking.
-                ratio = (record.compressed_size / record.size
-                         if record.size else 0.0)
-                delta_wire = _wire_payload(
-                    profile, delta_wire, int(delta_wire * ratio))
-                report.saved_by_ids += max(full_wire - delta_wire, 0)
-                wire = delta_wire
-            else:
-                wire = full_wire
-            report.traffic_bytes += wire + fixed
-            report.overhead_bytes += fixed
-            report.upload_events += 1
-            report.per_user_traffic[record.user] = \
-                report.per_user_traffic.get(record.user, 0) + wire + fixed
-            report.per_user_modification_traffic[record.user] = \
-                report.per_user_modification_traffic.get(record.user, 0) \
-                + wire + fixed
-            report.per_user_modification_update[record.user] = \
-                report.per_user_modification_update.get(record.user, 0) \
-                + altered
+        count = record.modify_count
+        if count > 0:
+            reseed(f"replay:{seed}:{profile_name}:{index}")
+            ratio = compressed / size if size else 0.0
+            modification_traffic = fixed * count
+            modification_update = 0
+            for _ in range(count):
+                # random.lognormvariate(mu, sigma), draw for draw: the
+                # Kinderman-Monahan normal, then exp(mu + z * sigma).
+                while True:
+                    u1 = uniform()
+                    u2 = 1.0 - uniform()
+                    z = NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                fraction = exp(_MOD_FRACTION_LOG_MU
+                               + z * _MOD_FRACTION_LOG_SIGMA)
+                if fraction > 1.0:
+                    fraction = 1.0
+                altered = int(size * fraction) or 1     # max(1, ·)
+                modification_update += altered
+                if delta_block is None:
+                    modification_traffic += full_wire
+                    continue
+                # Delta ships the altered region rounded up to whole blocks
+                # (0 for a size-0 file, so the ratio's 0.0 is never used).
+                delta = (-(-altered // delta_block) + 1) * delta_block
+                if delta > size:
+                    delta = size
+                achievable = delta - int(delta * ratio)
+                delta_wire = delta - int(
+                    achievable * saving_fraction if achievable > 0 else 0)
+                delta_wire += int(per_byte * delta_wire)
+                if full_wire > delta_wire:
+                    saved_by_ids += full_wire - delta_wire
+                modification_traffic += delta_wire
+            modification_uploads += count
+            overhead_bytes += fixed * count
+            data_update_bytes += modification_update
+            user_traffic += modification_traffic
+            per_user_modification_traffic[user] = \
+                per_user_modification_traffic.get(user, 0) \
+                + modification_traffic
+            per_user_modification_update[user] = \
+                per_user_modification_update.get(user, 0) \
+                + modification_update
+        per_user_traffic[user] = per_user_traffic.get(user, 0) + user_traffic
+        traffic_bytes += user_traffic
 
+    report.file_count = len(shard)
+    report.upload_events = len(shard) + modification_uploads
+    report.data_update_bytes = data_update_bytes
+    report.traffic_bytes = traffic_bytes
+    report.overhead_bytes = overhead_bytes
+    report.saved_by_compression = saved_by_compression
+    report.saved_by_dedup = saved_by_dedup
+    report.saved_by_bds = saved_by_bds
+    report.saved_by_ids = saved_by_ids
     return report, candidates
 
 
@@ -1008,25 +1047,6 @@ class ReplayPool:
             self.close()
             raise RuntimeError(f"replay worker failed:\n{payload}")
         return payload
-
-
-def replay_trace_parallel(trace: Trace, profile: ServiceProfile,
-                          workers: Optional[int] = None,
-                          seed: int = 0) -> ReplayReport:
-    """Sharded, multi-process replay; byte-identical to :func:`replay_trace`.
-
-    One-shot convenience over :class:`ReplayPool` (which is the API to use
-    when replaying several profiles against one trace — the pool forks
-    once and is reused).  Records are sharded by user (exact for SAME_USER
-    dedup and BDS batch windows); CROSS_USER dedup is settled by the
-    two-phase candidate/merge protocol.  ``workers=None`` uses the CPU
-    count; ``workers=1`` runs the shard pipeline in-process (useful for
-    testing the merge path without process overhead).  On platforms
-    without the ``fork`` start method the shards also run in-process —
-    same results, no speedup.
-    """
-    with ReplayPool(trace, workers=workers) as pool:
-        return pool.replay(profile, seed=seed)
 
 
 def modification_share(report: ReplayReport) -> Dict[str, float]:

@@ -82,3 +82,24 @@ def test_ratio_definition():
     policy = CompressionPolicy(CompressionLevel.HIGH)
     assert policy.ratio(content) == pytest.approx(
         policy.wire_size(content) / content.size)
+
+
+@pytest.mark.parametrize("policy", [NO_COMPRESSION, LOW_COMPRESSION,
+                                    MODERATE_COMPRESSION, HIGH_COMPRESSION])
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 16 * 1024 + 1,
+                                  100_000])
+def test_segment_count_equals_deflate_calls(monkeypatch, policy, size):
+    """segment_count is the number of zlib.compress calls compress makes."""
+    import types
+    import zlib
+    from repro.compress import policy as policy_module
+    calls = []
+
+    def counting_compress(data, level):
+        calls.append(len(data))
+        return zlib.compress(data, level)
+
+    monkeypatch.setattr(policy_module, "zlib",
+                        types.SimpleNamespace(compress=counting_compress))
+    policy.compress(bytes(size))
+    assert policy.segment_count(size) == len(calls)

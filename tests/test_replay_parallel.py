@@ -12,12 +12,12 @@ from repro.client import AccessMethod, SERVICES, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from repro.trace import (
     FileRecord,
+    ReplayPool,
     ReplayReport,
     Trace,
     generate_trace,
     iter_trace_shards,
     replay_trace,
-    replay_trace_parallel,
 )
 from repro.trace.replay import _shard_by_user
 from repro.trace.schema import UNIT_SIZE
@@ -43,21 +43,24 @@ def canonical(report):
 def test_parallel_matches_sequential_byte_for_byte(trace, service, workers):
     profile = service_profile(service, AccessMethod.PC)
     sequential = replay_trace(trace, profile, seed=7)
-    parallel = replay_trace_parallel(trace, profile, workers=workers, seed=7)
+    with ReplayPool(trace, workers=workers) as pool:
+        parallel = pool.replay(profile, seed=7)
     assert canonical(parallel) == canonical(sequential)
     assert repr(parallel) == repr(sequential)
 
 
 def test_parallel_respects_seed(trace):
     profile = service_profile("Dropbox", AccessMethod.PC)
-    a = replay_trace_parallel(trace, profile, workers=4, seed=1)
-    b = replay_trace_parallel(trace, profile, workers=4, seed=2)
+    with ReplayPool(trace, workers=4) as pool:
+        a = pool.replay(profile, seed=1)
+        b = pool.replay(profile, seed=2)
     assert a.traffic_bytes != b.traffic_bytes
 
 
 def test_parallel_empty_trace():
     profile = service_profile("Box", AccessMethod.PC)
-    report = replay_trace_parallel(Trace(), profile, workers=4)
+    with ReplayPool(Trace(), workers=4) as pool:
+        report = pool.replay(profile)
     assert report.file_count == 0
     assert report.traffic_bytes == 0
 
@@ -65,7 +68,7 @@ def test_parallel_empty_trace():
 def test_parallel_rejects_bad_worker_count(trace):
     profile = service_profile("Box", AccessMethod.PC)
     with pytest.raises(ValueError):
-        replay_trace_parallel(trace, profile, workers=0)
+        ReplayPool(trace, workers=0)
 
 
 def test_more_workers_than_users():
@@ -73,7 +76,8 @@ def test_more_workers_than_users():
     trace = generate_trace(scale=0.001, seed=3)
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     sequential = replay_trace(trace, profile, seed=0)
-    parallel = replay_trace_parallel(trace, profile, workers=8, seed=0)
+    with ReplayPool(trace, workers=8) as pool:
+        parallel = pool.replay(profile, seed=0)
     assert canonical(parallel) == canonical(sequential)
 
 
@@ -121,7 +125,8 @@ def test_two_phase_cross_user_dedup_is_exact(granularity, workers):
         granularity=granularity, scope=DedupScope.CROSS_USER,
         block_size=2 * UNIT_SIZE))
     sequential = replay_trace(trace, profile, seed=0)
-    parallel = replay_trace_parallel(trace, profile, workers=workers, seed=0)
+    with ReplayPool(trace, workers=workers) as pool:
+        parallel = pool.replay(profile, seed=0)
     assert canonical(parallel) == canonical(sequential)
     # Sanity: the trace genuinely exercises cross-user dedup.
     assert sequential.saved_by_dedup > 0
@@ -140,7 +145,8 @@ def test_same_user_scope_sees_no_cross_user_savings():
     same_report = replay_trace(trace, same, seed=0)
     assert cross_report.saved_by_dedup > same_report.saved_by_dedup
     for profile, sequential in ((cross, cross_report), (same, same_report)):
-        parallel = replay_trace_parallel(trace, profile, workers=4, seed=0)
+        with ReplayPool(trace, workers=4) as pool:
+            parallel = pool.replay(profile, seed=0)
         assert canonical(parallel) == canonical(sequential)
 
 
@@ -258,7 +264,8 @@ def test_sharded_generation_feeds_parallel_replay():
                                for record in shard])
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     a = replay_trace(whole, profile, seed=0)
-    b = replay_trace_parallel(assembled, profile, workers=4, seed=0)
+    with ReplayPool(assembled, workers=4) as pool:
+        b = pool.replay(profile, seed=0)
     # Parallel parity holds on the shard-assembled ordering too.
     assert canonical(b) == canonical(replay_trace(assembled, profile, seed=0))
     # Full-file dedup totals are order-invariant (every duplicate is an
@@ -275,7 +282,6 @@ def test_sharded_generation_feeds_parallel_replay():
 def test_replay_pool_is_reused_across_profiles(trace):
     """One fork, many profiles — the replay_all shape.  Every profile's
     result through the shared pool must match its own sequential run."""
-    from repro.trace import ReplayPool
     with ReplayPool(trace, workers=4) as pool:
         assert pool.record_count == len(trace)
         for service in SERVICES:
@@ -293,7 +299,7 @@ def test_replay_all_pool_reuse_matches_sequential(trace):
 
 
 def test_replay_all_accepts_external_pool(trace):
-    from repro.trace import ReplayPool, replay_all
+    from repro.trace import replay_all
     with ReplayPool(trace, workers=2) as pool:
         via_pool = replay_all(seed=7, pool=pool)
         # The caller keeps ownership: the pool must still be usable.
@@ -305,7 +311,6 @@ def test_replay_all_accepts_external_pool(trace):
 
 
 def test_closed_pool_refuses_to_replay(trace):
-    from repro.trace import ReplayPool
     pool = ReplayPool(trace, workers=2)
     pool.close()
     pool.close()      # idempotent
@@ -317,7 +322,6 @@ def test_two_pools_coexist_without_clobbering(trace):
     """Regression for the _FORK_STATE module global: two live pools used
     to share (and clobber) one fork-state slot.  Interleaved replays
     through two pools must both stay byte-identical to sequential."""
-    from repro.trace import ReplayPool
     cross = service_profile("UbuntuOne", AccessMethod.PC)
     plain = service_profile("Dropbox", AccessMethod.PC)
     with ReplayPool(trace, workers=2) as a, ReplayPool(trace, workers=4) as b:
@@ -331,21 +335,22 @@ def test_two_pools_coexist_without_clobbering(trace):
 
 
 def test_parallel_replay_is_reentrant_across_threads(trace):
-    """Concurrent replay_trace_parallel calls from different threads (each
-    forking its own one-shot pool) must not interfere — the second
-    _FORK_STATE regression shape."""
+    """Concurrent replays from different threads (each forking its own
+    one-shot pool) must not interfere — the second _FORK_STATE regression
+    shape."""
     from concurrent.futures import ThreadPoolExecutor
     profiles = [service_profile("UbuntuOne", AccessMethod.PC),
                 service_profile("Dropbox", AccessMethod.PC)]
     expected = {p.name: canonical(replay_trace(trace, p, seed=5))
                 for p in profiles}
     jobs = profiles * 3
+
+    def replay_in_own_pool(profile):
+        with ReplayPool(trace, workers=2) as pool:
+            return profile.name, canonical(pool.replay(profile, seed=5))
+
     with ThreadPoolExecutor(max_workers=4) as executor:
-        results = list(executor.map(
-            lambda p: (p.name,
-                       canonical(replay_trace_parallel(trace, p, workers=2,
-                                                       seed=5))),
-            jobs))
+        results = list(executor.map(replay_in_own_pool, jobs))
     assert len(results) == len(jobs)
     for name, result in results:
         assert result == expected[name]
@@ -354,7 +359,6 @@ def test_parallel_replay_is_reentrant_across_threads(trace):
 def test_from_records_streams_byte_identical(trace):
     """ReplayPool.from_records over a record stream equals replay of the
     materialised trace: the parent never needs the full record list."""
-    from repro.trace import ReplayPool
     for workers in (1, 3):
         with ReplayPool.from_records(iter(trace.records),
                                      workers=workers) as pool:
@@ -368,7 +372,7 @@ def test_from_records_streams_byte_identical(trace):
 def test_from_records_generator_stream_parity():
     """End-to-end streaming: iter_trace_records feeds the pool directly
     and matches the materialised generate_trace replay byte for byte."""
-    from repro.trace import ReplayPool, iter_trace_records
+    from repro.trace import iter_trace_records
     whole = generate_trace(scale=0.01, seed=11)
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     with ReplayPool.from_records(iter_trace_records(scale=0.01, seed=11),
@@ -378,7 +382,6 @@ def test_from_records_generator_stream_parity():
 
 
 def test_from_shards_matches_assembled_order():
-    from repro.trace import ReplayPool
     assembled = Trace(records=[record
                                for shard in iter_trace_shards(
                                    scale=0.01, seed=11, shard_users=3)
@@ -404,7 +407,6 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
     integer — this pins the exact value and proves the float form would
     have differed (i.e. the test actually guards the regression).
     """
-    from repro.trace.replay import _wire_payload
     size = (1 << 54) + 12_345     # wire > 2**53 by construction
     base = service_profile("UbuntuOne", AccessMethod.PC)
     profile = replace(base, dedup=DedupConfig(
@@ -416,7 +418,9 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
         _record("u0", 0, [1, 2, 3], size, created_at=0.0),
         _record("u1", 1, [1, 4, 5], size, created_at=1.0),
     ])
-    wire = _wire_payload(profile, size, size)
+    # compressed == size: nothing to compress, so the wire is the size
+    # plus the per-byte framing overhead.
+    wire = size + int(profile.overhead.per_byte_factor * size)
     assert wire > 2 ** 53
     shipped, total_len = 2 * UNIT_SIZE, 3 * UNIT_SIZE
     expected_saved = wire - wire * shipped // total_len
@@ -427,8 +431,8 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
     assert sequential.saved_by_dedup == expected_saved
     # Phase 2 settles u1's lost block with the same integer expression.
     for workers in (1, 2):
-        parallel = replay_trace_parallel(trace, profile, workers=workers,
-                                         seed=0)
+        with ReplayPool(trace, workers=workers) as pool:
+            parallel = pool.replay(profile, seed=0)
         assert canonical(parallel) == canonical(sequential)
 
 
@@ -452,8 +456,8 @@ def test_zero_size_records_under_cross_user_dedup_parallel():
         assert sequential.saved_by_dedup > 0
         assert sequential.traffic_bytes > 0
         for workers in (2, 4):
-            parallel = replay_trace_parallel(trace, profile,
-                                             workers=workers, seed=0)
+            with ReplayPool(trace, workers=workers) as pool:
+                parallel = pool.replay(profile, seed=0)
             assert canonical(parallel) == canonical(sequential)
 
 
@@ -512,8 +516,8 @@ def test_phase2_short_circuit_parity_across_cross_user_profiles():
         sequential = replay_trace(trace, profile, seed=0)
         assert sequential.saved_by_dedup > 0   # dedup genuinely fired
         for workers in (2, 3, 8):
-            parallel = replay_trace_parallel(trace, profile,
-                                             workers=workers, seed=0)
+            with ReplayPool(trace, workers=workers) as pool:
+                parallel = pool.replay(profile, seed=0)
             assert canonical(parallel) == canonical(sequential), \
                 (profile.name, workers)
 
@@ -555,7 +559,6 @@ def test_winner_table_round_trips_via_both_transports():
 def test_settle_credits_conserve_bytes_under_audit():
     """replay_audited proves the two-phase settlement conserves bytes:
     traffic lost == dedup saving gained, user by user."""
-    from repro.trace import ReplayPool
     trace = _cross_user_duplicate_trace()
     base = service_profile("UbuntuOne", AccessMethod.PC)
     profile = replace(base, dedup=DedupConfig(
